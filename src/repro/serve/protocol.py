@@ -74,8 +74,9 @@ class AdaptRequest:
     """One validated ``adapt`` request.
 
     ``dimming`` is the required dimming level; ``ambient`` the ambient
-    light level relative to the paper's reference (1.0 = the measured
-    worst case); ``distance_m``/``angle_deg`` place the receiver on a
+    light level in [0, 1], relative to the paper's reference (1.0 = the
+    measured worst case, the brightest the photodiode model covers);
+    ``distance_m``/``angle_deg`` place the receiver on a
     constant-distance arc, as in Figs. 16-17.
     """
 
@@ -174,7 +175,7 @@ def parse_request(obj: Any) -> "AdaptRequest | LinkRequest | SimpleRequest":
         return AdaptRequest(
             dimming=_require_number(obj, "dimming", 0.5, lo=0.0, hi=1.0,
                                     lo_open=True, hi_open=True),
-            ambient=_require_number(obj, "ambient", 1.0, lo=0.0, hi=1e6),
+            ambient=_require_number(obj, "ambient", 1.0, lo=0.0, hi=1.0),
             distance_m=_require_number(obj, "distance_m", 3.0,
                                        lo=0.0, hi=1e3, lo_open=True),
             angle_deg=_require_number(obj, "angle_deg", 0.0,

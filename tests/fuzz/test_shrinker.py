@@ -7,7 +7,7 @@ is a fixed point — zero further steps).
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.fuzz import (
@@ -73,6 +73,15 @@ def _threshold_candidates(params):
 
 
 class TestGreedyShrink:
+    def test_threshold_above_a_floor_rung_needs_few_attempts(self):
+        """A threshold just above the floor-side rung (733 // 2 = 366)
+        is reached by halving from the value side, not by 366 unit
+        decrements."""
+        outcome = shrink({"x": 0, "y": 733}, lambda p: p["y"] >= 367,
+                         _threshold_candidates, max_attempts=10_000)
+        assert outcome.params == {"x": 0, "y": 367}
+        assert outcome.attempts < 100
+
     def test_threshold_defect_shrinks_to_the_exact_threshold(self):
         outcome = shrink({"x": 977, "y": 450},
                          lambda p: p["x"] >= 12 and p["y"] >= 24,
@@ -105,6 +114,7 @@ class TestGreedyShrink:
     @given(x0=st.integers(0, 400), y0=st.integers(0, 400),
            x=st.integers(0, 2_000), y=st.integers(0, 2_000))
     @settings(max_examples=100, deadline=None)
+    @example(x0=256, y0=367, x=502, y=733)
     def test_idempotence_shrinking_a_minimum_is_a_fixed_point(
             self, x0, y0, x, y):
         """The satellite law: shrink(shrink(p)) adopts zero candidates."""

@@ -210,6 +210,52 @@ class TestNdjsonMalformed:
         assert unhandled == []
 
 
+class TestAmbientOutOfRange:
+    """Ambient above 1 is outside the photodiode model: the protocol
+    rejects it as a bad request naming the field, instead of the
+    engine failing with ``internal``, and the server keeps serving."""
+
+    BRIGHT = {"v": 1, "op": "adapt", "dimming": 0.5, "ambient": 3.0,
+              "id": "bright"}
+
+    def test_ndjson(self, engine):
+        async def run():
+            async with watched(engine) as (plane, unhandled):
+                reader, writer = await connect(plane)
+                error = await ndjson_roundtrip(reader, writer, self.BRIGHT)
+                reply = await ndjson_roundtrip(reader, writer, VALID)
+                writer.close()
+                return error, reply, unhandled
+
+        error, reply, unhandled = asyncio.run(run())
+        assert error["ok"] is False and error["id"] == "bright"
+        assert error["error"]["code"] == E_BAD_REQUEST
+        assert "ambient" in error["error"]["message"]
+        assert reply["ok"] is True and reply["id"] == "probe"
+        assert unhandled == []
+
+    def test_http(self, engine):
+        async def run():
+            async with watched(engine) as (plane, unhandled):
+                reader, writer = await connect(plane)
+                status, _, body = await http_exchange(
+                    reader, writer, "POST", "/v1/adapt",
+                    json.dumps(self.BRIGHT).encode())
+                ok_status, _, ok_body = await http_exchange(
+                    reader, writer, "POST", "/v1/adapt",
+                    json.dumps(VALID).encode())
+                writer.close()
+                return (status, json.loads(body), ok_status,
+                        json.loads(ok_body), unhandled)
+
+        status, error, ok_status, reply, unhandled = asyncio.run(run())
+        assert status == 400
+        assert error["error"]["code"] == E_BAD_REQUEST
+        assert "ambient" in error["error"]["message"]
+        assert ok_status == 200 and reply["ok"] is True
+        assert unhandled == []
+
+
 class TestHttpMalformed:
     @pytest.mark.parametrize("content_length, expected_detail", [
         ("banana", "invalid content-length"),
