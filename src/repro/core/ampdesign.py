@@ -12,10 +12,13 @@ Pipeline, exactly as the paper stages it:
    envelope vertices that bracket it into a super-symbol whose dimming
    level lands within the perceived resolution of the target.
 
-Designs are cached per dimming level: the transmitter re-designs only
-when the smart-lighting controller actually moves the setpoint, which
-is the "reduce the number of brightness adjustments" concern of
-Section 4.3.
+Designs come from a per-level table: a request is quantized to its
+bucket ``memo_key(x)`` and answered with the design composed for the
+bucket centre ``clamp(key * tau_perceived)``.  Entries fill lazily but
+depend on their key alone, so :meth:`AmppmDesigner.design` is pure in
+the request and one designer serves every consumer (the cells of a
+fleet, the serving plane, the fuzz oracles).  The achieved level lies
+within ``1.5 * tau_perceived`` of the request.
 """
 
 from __future__ import annotations
@@ -70,11 +73,11 @@ class UnreachableDimmingError(ValueError):
 
 
 class AmppmDesigner:
-    """Stateful designer binding a configuration to a channel condition.
+    """Designer binding a configuration to a channel condition.
 
-    The candidate set and envelope are built once; :meth:`design` is
-    then a cheap bracket-and-compose per requested dimming level, with
-    results memoised at the configured perceived resolution.
+    The candidate set and envelope are built once; :meth:`design` then
+    looks the request's bucket up in the design table, composing the
+    bucket-centre design on first use.
     """
 
     def __init__(self, config: SystemConfig | None = None,
@@ -89,27 +92,8 @@ class AmppmDesigner:
                 "too noisy for MPPM at this configuration"
             )
         self._envelope = slope_walk_envelope(self._candidates, self.errors)
-        self._cache: dict[int, AmppmDesign] = {}
-
-    def fork(self) -> "AmppmDesigner":
-        """A designer reusing this one's tables but with a fresh memo.
-
-        Candidate filtering and envelope construction dominate setup
-        and are pure in ``(config, errors)``, so forks share them.  The
-        design memo is deliberately *not* shared: its key quantizes the
-        dimming request to the perceived resolution, so a shared memo
-        would hand one consumer's design to another whose request
-        differs within a bucket.  Independent consumers (e.g. the
-        per-cell lighting controllers of a fleet) fork one template
-        designer and stay bit-identical to fully independent ones.
-        """
-        other = object.__new__(type(self))
-        other.config = self.config
-        other.errors = self.errors
-        other._candidates = self._candidates
-        other._envelope = self._envelope
-        other._cache = {}
-        return other
+        #: bucket key -> the design composed for the bucket's centre
+        self._table: dict[int, AmppmDesign] = {}
 
     @property
     def candidates(self) -> list[SymbolPattern]:
@@ -127,34 +111,42 @@ class AmppmDesigner:
         return self._envelope.dimming_range
 
     def memo_key(self, dimming: float) -> int:
-        """The memo bucket a dimming request quantizes to.
+        """The table bucket a dimming request quantizes to.
 
         Two requests share a design exactly when their clamped dimming
         levels round to the same multiple of the perceived resolution
-        ``tau_perceived`` — the same key :meth:`design` memoises under.
-        Exposed so batching layers (the serve coalescer) can dedupe
-        requests without re-deriving the quantization rule.
+        ``tau_perceived``.  Exposed so batching layers (the serve
+        coalescer) can dedupe requests without re-deriving the rule.
         """
         lo, hi = self.supported_range
         return round(min(max(dimming, lo), hi) / self.config.tau_perceived)
 
+    def bucket_centre(self, key: int) -> float:
+        """The dimming level bucket ``key``'s design is composed for."""
+        return self.clamp(key * self.config.tau_perceived)
+
     def design(self, dimming: float) -> AmppmDesign:
         """Best super-symbol for a required dimming level.
 
-        Raises :class:`UnreachableDimmingError` outside the supported
-        range — the caller decides whether to clamp (the smart-lighting
+        The table design of the request's bucket: the same object for
+        every request in the bucket, whatever was asked before.  Raises
+        :class:`UnreachableDimmingError` outside the supported range —
+        the caller decides whether to clamp (the smart-lighting
         controller does, because an LED pinned at 2% cannot modulate).
         """
         lo, hi = self.supported_range
         if not lo - 1e-9 <= dimming <= hi + 1e-9:
             raise UnreachableDimmingError(dimming, lo, hi)
-        dimming = min(max(dimming, lo), hi)
-
         key = self.memo_key(dimming)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
+        design = self._table.get(key)
+        if design is None:
+            design = self._table[key] = self.compose_at(
+                self.bucket_centre(key))
+        return design
 
+    def compose_at(self, dimming: float) -> AmppmDesign:
+        """The uncached core: the design for exactly ``dimming`` (what
+        :meth:`design` runs once per bucket, at the bucket centre)."""
         left, right = self._envelope.bracket(dimming)
         if left is right or _close(dimming, left.dimming):
             super_symbol = SuperSymbol.single(left.pattern)
@@ -171,17 +163,15 @@ class AmppmDesigner:
                 # hull segments are long).  Trade rate for resolution:
                 # search bracketing candidate pairs off the envelope.
                 super_symbol = self._compose_fallback(dimming)
-        design = AmppmDesign(dimming, super_symbol)
-        self._cache[key] = design
-        return design
+        return AmppmDesign(dimming, super_symbol)
 
     def design_many(self, dimmings: Sequence[float]) -> list[AmppmDesign]:
         """Designs for a batch of dimming levels, one core call per bucket.
 
         The batched entry point of the serving path: requests are
-        deduped by :meth:`memo_key`, the designer core runs once per
-        *unique* bucket (memo hits are free), and the resulting designs
-        fan back out aligned with ``dimmings``.  Every request in a
+        answered from the design table, so the designer core runs at
+        most once per *unique* bucket (table hits are free), and the
+        designs come back aligned with ``dimmings``.  Every request in a
         bucket receives the *same* :class:`AmppmDesign` object, so the
         fan-out is byte-identical by construction.  Raises
         :class:`UnreachableDimmingError` on the first out-of-range
@@ -197,16 +187,7 @@ class AmppmDesigner:
         for dimming in dimmings:
             if not lo - 1e-9 <= dimming <= hi + 1e-9:
                 raise UnreachableDimmingError(dimming, lo, hi)
-        by_bucket: dict[int, AmppmDesign] = {}
-        out: list[AmppmDesign] = []
-        for dimming in dimmings:
-            key = self.memo_key(dimming)
-            design = by_bucket.get(key)
-            if design is None:
-                design = self.design(dimming)
-                by_bucket[key] = design
-            out.append(design)
-        return out
+        return [self.design(dimming) for dimming in dimmings]
 
     def _compose_fallback(self, dimming: float) -> SuperSymbol:
         """Best-rate composition from non-envelope candidate pairs.

@@ -22,8 +22,9 @@ The oracles:
   its payload through the real transmitter/receiver pair.
 * ``design`` — invariant: every designed super-symbol satisfies the
   Type-I flicker bound, lands inside the illumination envelope
-  (|achieved − target| ≤ τ_perceived), and a fresh designer fork
-  reproduces it (the PR 6 memo-leak shape).
+  (|achieved − target| ≤ τ_perceived), and is a pure table entry: the
+  same object as the bucket centre's design, and equal to what a fresh
+  designer answers after a shuffled history of other requests.
 * ``serve`` — differential: the batched/coalesced serving path
   (:meth:`AdaptEngine.adapt_batch`) against the direct per-request
   path, canonical response bytes compared per request.
@@ -118,9 +119,9 @@ class Oracle(Protocol):  # pragma: no cover - typing only
 
 # -- shared per-process state ------------------------------------------
 #
-# Designer tables dominate setup (~80 ms) and are pure in the default
-# SystemConfig, so worker processes build them once and oracles take
-# fresh forks when memo isolation matters.
+# The designer is pure in the default SystemConfig and its design table
+# is a pure function of the dimming bucket, so worker processes build
+# one and every oracle shares it.
 
 _SHARED: dict = {}
 
@@ -134,15 +135,7 @@ def _config():
 
 
 def _designer():
-    """The per-process template designer.
-
-    Oracles must treat it as a *template*: candidate tables and the
-    envelope are pure in the config and safe to share, but anything
-    that touches the design memo goes through :meth:`fork` so a case's
-    result is a function of its params, never of which cases this
-    worker happened to run first (``design()`` answers within-bucket
-    requests with the bucket owner's design by contract).
-    """
+    """The per-process designer every oracle shares."""
     from ..core.ampdesign import AmppmDesigner
 
     if "designer" not in _SHARED:
@@ -296,14 +289,10 @@ class RoundtripOracle:
             return _fail(f"CRC blind spot: single-bit flip at bit {flip} "
                          f"goes undetected")
 
-        # A forked designer for the same reason as DesignOracle: the
-        # shared scheme's memo warms across cases, and a within-bucket
-        # hit would make frame_slots depend on process history.
         from ..schemes import AmppmSchemeDesign
 
-        dimming = _designer().clamp(float(params["dimming"]))
-        design = AmppmSchemeDesign(_designer().fork().design(dimming),
-                                   _config())
+        design = AmppmSchemeDesign(
+            _designer().design_clamped(float(params["dimming"])), _config())
         slots = Transmitter(_config()).encode_frame(data, design)
         try:
             frame = Receiver(_config()).decode_frame(list(slots))
@@ -329,7 +318,7 @@ class RoundtripOracle:
             yield {**base, "dimming": dimming}
 
 
-# -- design: flicker / envelope / memo-purity invariants ---------------
+# -- design: flicker / envelope / table-purity invariants --------------
 
 
 class DesignOracle:
@@ -341,12 +330,9 @@ class DesignOracle:
         return {"dimming": round(float(rng.uniform(0.001, 0.999)), 6)}
 
     def execute(self, params: Mapping) -> CaseResult:
-        # Design on a fresh fork: the template's memo is warm with every
-        # prior case this worker ran, and ``design()`` deliberately
-        # answers within-bucket requests with the bucket owner's design
-        # — correct for one consumer, but it would make this result a
-        # function of process history instead of ``params``.
-        designer = _designer().fork()
+        from ..core.ampdesign import AmppmDesigner
+
+        designer = _designer()
         config = _config()
         target = designer.clamp(float(params["dimming"]))
         design = designer.design(target)
@@ -358,10 +344,23 @@ class DesignOracle:
             return _fail(f"illumination envelope: |achieved-target| = "
                          f"{design.dimming_error:.6f} exceeds "
                          f"tau_perceived {config.tau_perceived:g}")
-        fresh = _designer().fork().design(target)
-        if fresh.super_symbol != ss:
-            return _fail("memo purity: a fresh designer fork produced "
-                         "a different super-symbol")
+        # Table purity: the answer is the bucket centre's design ...
+        key = designer.memo_key(target)
+        if designer.design(designer.bucket_centre(key)) is not design:
+            return _fail("table purity: the request and its bucket "
+                         "centre got different design objects")
+        # ... and a fresh designer agrees after a shuffled history of
+        # near (same-bucket) and spread requests, seeded by the case.
+        rng = np.random.default_rng(round(target * 1e9))
+        history = [target + config.tau_perceived * k
+                   for k in (-1.0, -0.45, -0.25, 0.25, 0.45, 1.0)]
+        history += rng.uniform(0.0, 1.0, size=4).tolist()
+        fresh = AmppmDesigner(config)
+        for other in rng.permutation(history):
+            fresh.design_clamped(float(other))
+        if fresh.design(target) != design:
+            return _fail("table purity: a fresh designer with a "
+                         "different request history disagrees")
         return _ok(n1=ss.first.n_slots, k1=ss.first.n_on, m1=ss.m1,
                    n2=ss.second.n_slots, k2=ss.second.n_on, m2=ss.m2,
                    achieved=round(design.achieved_dimming, 9))
@@ -411,12 +410,10 @@ class ServeOracle:
         if not raw:
             return _fail("empty request list is not a valid case")
         requests = [parse_request({"v": 1, "op": "adapt", **r}) for r in raw]
-        direct_engine = AdaptEngine(_config(), designer=_designer().fork())
-        batch_engine = AdaptEngine(_config(), designer=_designer().fork())
-        direct = [encode(ok_response("adapt",
-                                     direct_engine.adapt_direct(r), r.id))
+        engine = AdaptEngine(_config(), designer=_designer())
+        direct = [encode(ok_response("adapt", engine.adapt_direct(r), r.id))
                   for r in requests]
-        batched_payloads = batch_engine.adapt_batch(list(requests))
+        batched_payloads = engine.adapt_batch(list(requests))
         batched = [encode(ok_response("adapt", payload, r.id))
                    for payload, r in zip(batched_payloads, requests)]
         for i, (a, b) in enumerate(zip(direct, batched)):
@@ -424,7 +421,7 @@ class ServeOracle:
                 return _fail(f"served-vs-direct divergence at request {i}: "
                              f"batched reply differs from the direct "
                              f"designer answer")
-        buckets = {direct_engine.bucket(r.dimming) for r in requests}
+        buckets = {engine.bucket(r.dimming) for r in requests}
         replies_sha = hashlib.sha256(b"".join(direct)).hexdigest()[:16]
         return _ok(requests=len(requests), unique_buckets=len(buckets),
                    replies_sha=replies_sha)

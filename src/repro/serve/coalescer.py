@@ -1,6 +1,6 @@
 """Deadline-driven micro-batching of concurrent adapt requests.
 
-The designer memoises per quantized dimming bucket
+The designer's table is keyed by quantized dimming bucket
 (:meth:`~repro.core.AmppmDesigner.memo_key`), so N concurrent requests
 that quantize to the same bucket need exactly one designer invocation —
 the rest is fan-out.  The coalescer exploits that: the first request of
@@ -33,7 +33,7 @@ _BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0)
 
 
 class AdaptCoalescer:
-    """Folds concurrent requests into one designer call per memo bucket.
+    """Folds concurrent requests into one designer call per bucket.
 
     ``window_s`` is the coalescing deadline: how long the first request
     of a batch may wait for company (0 disables batching — every

@@ -138,7 +138,7 @@ class AdaptEngine:
         self.channel = calibrated_channel(self.config)
 
     def bucket(self, dimming: float):
-        """The designer memo bucket a request quantizes to."""
+        """The designer table bucket a request quantizes to."""
         return self.designer.memo_key(dimming)
 
     def design(self, dimming: float):
@@ -160,7 +160,7 @@ class AdaptEngine:
         return self.result(request, self.design(request.dimming))
 
     def adapt_batch(self, requests: list[AdaptRequest]) -> list[dict]:
-        """The batched path: one designer call per unique memo bucket."""
+        """The batched path: one designer call per unique bucket."""
         if not requests:  # design_many rejects empty batches
             return []
         clamped = [self.designer.clamp(r.dimming) for r in requests]

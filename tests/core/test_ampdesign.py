@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     AmppmDesigner,
@@ -94,6 +96,38 @@ class TestMemoKey:
         assert designer.memo_key(2.0) == designer.memo_key(hi)
 
 
+class TestTablePurity:
+    """design(x) is a pure function of x's bucket, whatever came before."""
+
+    @given(history=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+           x=st.floats(0.0, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_answer_ignores_request_history(self, designer, history, x):
+        fresh = AmppmDesigner(designer.config)
+        for level in history:
+            fresh.design_clamped(level)
+        answer = fresh.design_clamped(x)
+        centre = fresh.bucket_centre(fresh.memo_key(x))
+        assert answer is fresh.design(centre)
+        assert answer.target_dimming == centre
+        # The session designer has served an unrelated history.
+        assert answer == designer.design_clamped(x)
+
+    def test_bucket_centre_maps_back_to_its_bucket(self, designer):
+        lo, hi = designer.supported_range
+        for key in range(designer.memo_key(lo), designer.memo_key(hi) + 1):
+            assert designer.memo_key(designer.bucket_centre(key)) == key
+
+    def test_worst_case_request_error_within_one_and_a_half_tau(
+            self, designer, config):
+        """Within tau of the bucket centre, which is within tau / 2 of
+        the request: 4.43e-3 at the paper defaults (tau = 3e-3)."""
+        lo, hi = designer.supported_range
+        worst = max(abs(designer.design(x).achieved_dimming - x)
+                    for x in np.linspace(lo, hi, 200_000).tolist())
+        assert worst <= 1.5 * config.tau_perceived
+
+
 class TestDesignMany:
     def test_matches_individual_designs(self, designer):
         levels = [0.2, 0.5, 0.2, 0.81, 0.5]
@@ -102,25 +136,28 @@ class TestDesignMany:
             [designer.design(lv).target_dimming for lv in levels]
 
     def test_same_bucket_shares_the_same_object(self, config):
-        fork = AmppmDesigner(config).fork()
+        fresh = AmppmDesigner(config)
         tau = config.tau_perceived
-        center = fork.memo_key(0.5) * tau    # an exact bucket center
-        batch = fork.design_many([center, center + tau / 4, 0.7,
-                                  center - tau / 4])
+        center = fresh.memo_key(0.5) * tau    # an exact bucket center
+        batch = fresh.design_many([center, center + tau / 4, 0.7,
+                                   center - tau / 4])
         assert batch[0] is batch[1] is batch[3]
         assert batch[2] is not batch[0]
 
-    def test_one_core_call_per_unique_bucket(self, designer):
-        fork = designer.fork()
+    def test_one_core_call_per_unique_bucket(self, config):
+        fresh = AmppmDesigner(config)
+        composed = _count_core_calls(fresh)
         levels = [0.3, 0.3, 0.6, 0.6, 0.6, 0.9]
-        fork.design_many(levels)
-        assert len(fork._cache) == len({fork.memo_key(lv) for lv in levels})
+        fresh.design_many(levels)
+        assert sorted(composed) == sorted(
+            {fresh.bucket_centre(fresh.memo_key(lv)) for lv in levels})
 
-    def test_rejects_out_of_range_before_designing(self, designer):
-        fork = designer.fork()
+    def test_rejects_out_of_range_before_designing(self, config):
+        fresh = AmppmDesigner(config)
+        composed = _count_core_calls(fresh)
         with pytest.raises(UnreachableDimmingError):
-            fork.design_many([0.5, 0.001])
-        assert not fork._cache
+            fresh.design_many([0.5, 0.001])
+        assert composed == []
 
     def test_empty_batch_is_rejected(self, designer):
         """An empty batch is a caller bug, not a no-op."""
@@ -129,10 +166,24 @@ class TestDesignMany:
 
     def test_duplicate_requests_share_one_object(self, config):
         """Byte-for-byte duplicates collapse to a single design object."""
-        fork = AmppmDesigner(config).fork()
-        batch = fork.design_many([0.47, 0.47, 0.47])
+        fresh = AmppmDesigner(config)
+        composed = _count_core_calls(fresh)
+        batch = fresh.design_many([0.47, 0.47, 0.47])
         assert batch[0] is batch[1] is batch[2]
-        assert len(fork._cache) == 1
+        assert len(composed) == 1
+
+
+def _count_core_calls(designer: AmppmDesigner) -> list[float]:
+    """Record every level the designer's uncached core runs at."""
+    composed: list[float] = []
+    core = designer.compose_at
+
+    def counting(dimming):
+        composed.append(dimming)
+        return core(dimming)
+
+    designer.compose_at = counting
+    return composed
 
 
 class TestConfigurationEffects:

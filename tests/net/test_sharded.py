@@ -32,9 +32,9 @@ class TestDegeneracy:
 
     def test_parity_holds_under_a_time_varying_ambient(self):
         # Regression guard: with a ramping ambient the per-cell dimming
-        # requests diverge, which is exactly where a designer whose
-        # memo were shared across cells would leak one cell's design
-        # into another's (the memo key quantizes the request).
+        # requests diverge, so the indexed path's one shared designer
+        # must answer each cell exactly as the all-pairs path's
+        # per-cell designers do (the design table is pure per bucket).
         from repro.lighting.ambient import BlindRampAmbient
 
         kw = dict(profile=BlindRampAmbient(duration_s=30.0))

@@ -9,5 +9,5 @@ from repro.serve import AdaptEngine
 
 @pytest.fixture(scope="session")
 def engine(config, designer) -> AdaptEngine:
-    """An engine over the session designer's tables (fresh memo)."""
-    return AdaptEngine(config, designer.fork())
+    """An engine over the session designer (its table is pure)."""
+    return AdaptEngine(config, designer)

@@ -11,7 +11,7 @@ class TestAmppmScheme:
         scheme = AmppmScheme(config)
         a = scheme.design(0.3)
         b = scheme.design(0.3)
-        # Designs are memoised inside the designer.
+        # Designs come from the designer's per-bucket table.
         assert a.design is b.design
 
     def test_custom_error_model(self, config):
